@@ -75,6 +75,14 @@ void printBoxTable(std::ostream& os, const std::string& title,
   t.print(os);
 }
 
+double nearestRankPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const std::size_t n = sorted.size();
+  std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(n));
+  if (idx >= n) idx = n - 1;
+  return sorted[idx];
+}
+
 void printHeader(std::ostream& os, const std::string& experiment,
                  const std::string& paperClaim) {
   os << "==============================================================\n";

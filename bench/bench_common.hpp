@@ -47,6 +47,12 @@ void printBoxTable(std::ostream& os, const std::string& title,
                    const std::string& unit,
                    const std::vector<Series>& series);
 
+/// Nearest-rank percentile of an ascending-sorted sample, p in [0, 1]:
+/// sorted[min(floor(p * n), n - 1)], 0 for an empty sample. The fleet and
+/// map benches report their p50/p99 latencies with it.
+[[nodiscard]] double nearestRankPercentile(const std::vector<double>& sorted,
+                                           double p);
+
 /// Standard figure-bench banner.
 void printHeader(std::ostream& os, const std::string& experiment,
                  const std::string& paperClaim);

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/bb_align.hpp"
 #include "common/parallel.hpp"
 #include "dataset/fault.hpp"
@@ -52,15 +53,6 @@ const FramePair& fixturePair() {
     return *DatasetGenerator(cfg).generatePair(0);
   }();
   return pair;
-}
-
-/// Percentile over a sorted sample set (nearest-rank).
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t n = sorted.size();
-  std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(n));
-  if (idx >= n) idx = n - 1;
-  return sorted[idx];
 }
 
 /// peers rotating vehicles contending for a slots-sized session table.
@@ -161,8 +153,8 @@ void BM_FleetChurn(benchmark::State& state) {
     reaps += st.reaps;
     readmissions += st.readmissions;
   }
-  state.counters["p50_ms"] = percentile(steady, 0.50);
-  state.counters["p99_ms"] = percentile(steady, 0.99);
+  state.counters["p50_ms"] = bench::nearestRankPercentile(steady, 0.50);
+  state.counters["p99_ms"] = bench::nearestRankPercentile(steady, 0.99);
   state.counters["fps"] = meanMs > 0.0 ? 1e3 / meanMs : 0.0;
   state.counters["present_mean"] =
       frame > 0 ? static_cast<double>(presentPeers) / frame : 0.0;

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/bb_align.hpp"
@@ -46,15 +47,6 @@ namespace {
 constexpr int kGrid = 4;
 constexpr int kOrientations = 6;
 constexpr int kDim = kGrid * kGrid * kOrientations;
-
-/// Percentile over a sorted sample set (nearest-rank).
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t n = sorted.size();
-  std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(n));
-  if (idx >= n) idx = n - 1;
-  return sorted[idx];
-}
 
 DescriptorSet randomDescriptors(Rng& rng, int count) {
   std::vector<Keypoint> kps(static_cast<std::size_t>(count));
@@ -168,8 +160,8 @@ void BM_MapQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(matches.size());
   }
   std::sort(sampleUs.begin(), sampleUs.end());
-  state.counters["p50_us"] = percentile(sampleUs, 0.50);
-  state.counters["p99_us"] = percentile(sampleUs, 0.99);
+  state.counters["p50_us"] = bench::nearestRankPercentile(sampleUs, 0.50);
+  state.counters["p99_us"] = bench::nearestRankPercentile(sampleUs, 0.99);
   state.counters["hit_rate"] =
       queries > 0 ? static_cast<double>(hits) / static_cast<double>(queries)
                   : 0.0;
@@ -252,8 +244,8 @@ void BM_MapReloc(benchmark::State& state) {
     }
   }
   std::sort(sampleMs.begin(), sampleMs.end());
-  state.counters["p50_ms"] = percentile(sampleMs, 0.50);
-  state.counters["p99_ms"] = percentile(sampleMs, 0.99);
+  state.counters["p50_ms"] = bench::nearestRankPercentile(sampleMs, 0.50);
+  state.counters["p99_ms"] = bench::nearestRankPercentile(sampleMs, 0.99);
   state.counters["coverage"] =
       attempts > 0
           ? static_cast<double>(locks) / static_cast<double>(attempts)

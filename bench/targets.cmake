@@ -36,7 +36,8 @@ set_target_properties(perf_micro PROPERTIES
 
 # Fleet-scale service benchmark (google-benchmark, manual per-frame timing):
 # peers x recover-budget sweep emitting fps / p50 / p99 / coverage / shed.
-add_executable(fleet_scale ${BBA_BENCH_DIR}/fleet_scale.cpp)
+add_executable(fleet_scale ${BBA_BENCH_DIR}/fleet_scale.cpp
+  ${BBA_BENCH_DIR}/bench_common.cpp)
 target_link_libraries(fleet_scale PRIVATE bba benchmark::benchmark)
 target_compile_definitions(fleet_scale PRIVATE
   BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
@@ -46,7 +47,8 @@ set_target_properties(fleet_scale PROPERTIES
 # Fleet-churn lifecycle benchmark (google-benchmark, manual per-frame
 # timing): rotating peers contending for a smaller session table, emitting
 # eviction / reaper / readmission tallies alongside fps / p50 / p99.
-add_executable(fleet_churn ${BBA_BENCH_DIR}/fleet_churn.cpp)
+add_executable(fleet_churn ${BBA_BENCH_DIR}/fleet_churn.cpp
+  ${BBA_BENCH_DIR}/bench_common.cpp)
 target_link_libraries(fleet_churn PRIVATE bba benchmark::benchmark)
 target_compile_definitions(fleet_churn PRIVATE
   BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
@@ -56,7 +58,8 @@ set_target_properties(fleet_churn PROPERTIES
 # Keyframe map benchmark (google-benchmark, manual timing): index
 # build/query latency vs store size (4 -> 4096 keyframes) plus
 # relocalization latency / coverage on scenario-matrix worlds.
-add_executable(map_reloc ${BBA_BENCH_DIR}/map_reloc.cpp)
+add_executable(map_reloc ${BBA_BENCH_DIR}/map_reloc.cpp
+  ${BBA_BENCH_DIR}/bench_common.cpp)
 target_link_libraries(map_reloc PRIVATE bba benchmark::benchmark)
 target_compile_definitions(map_reloc PRIVATE
   BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")

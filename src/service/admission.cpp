@@ -23,26 +23,12 @@ double bvFootprintOverlap(const Pose2& claimedOtherToEgo, double bvRangeM) {
 
 bool preGateAdmits(const Pose2& claimedOtherToEgo, double bvRangeM,
                    const PreGateConfig& cfg) {
-  if (!cfg.enable) return true;
   // Cheap range reject first: the clipping below is exact but ~50x the
   // cost of a norm, and most of a dense fleet is out of range.
   const double range = claimedOtherToEgo.t.norm();
   if (range > cfg.maxPairingRangeM) return false;
   return bvFootprintOverlap(claimedOtherToEgo, bvRangeM) >=
          cfg.minOverlapFrac;
-}
-
-int effectiveRecoverBudget(const BudgetConfig& cfg) {
-  int budget = cfg.maxRecoversPerFrame > 0 ? cfg.maxRecoversPerFrame : 0;
-  if (cfg.frameDeadlineMs > 0.0) {
-    BBA_ASSERT(cfg.assumedRecoverCostMs > 0.0);
-    // At least one slot: a deadline below one recover's assumed cost still
-    // has to make progress, or the whole fleet would starve.
-    const int deadlineSlots = std::max(
-        1, static_cast<int>(cfg.frameDeadlineMs / cfg.assumedRecoverCostMs));
-    budget = budget > 0 ? std::min(budget, deadlineSlots) : deadlineSlots;
-  }
-  return budget;
 }
 
 std::vector<std::size_t> grantRecoverSlots(

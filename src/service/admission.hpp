@@ -20,10 +20,16 @@ namespace bba::service {
 /// BBA_THREADS (asserted by tests/admission_test.cpp). Claims only ever
 /// REMOVE work — a spoofed claim can waste one recover() slot or skip the
 /// spoofer's own session, but never seeds a track or touches other peers.
+///
+/// Once a session has a locked track, the gate runs on the tracker's OWN
+/// dead-reckoned prediction (PoseTracker::predictNext) instead of the
+/// sender's claim: the service's own state cannot be spoofed, so a lying
+/// claim cannot keep an in-range, already-locked peer held. Claim-based
+/// gating applies while a session bootstraps (there is no own-state yet) —
+/// a bootstrapping far-claim peer stays cheap, and a bootstrapping peer
+/// whose messages carry no claim is always admitted (there is nothing to
+/// gate on).
 struct PreGateConfig {
-  /// Run the pre-gate at all. Peers whose messages carry no pose-prior
-  /// claim are always admitted (there is nothing to gate on).
-  bool enable = true;
   /// Hard range cap on the claimed translation (meters). Beyond ~2x the
   /// BV range two 256x256 footprints share no pixels; the default leaves
   /// margin for claim error.
@@ -31,13 +37,6 @@ struct PreGateConfig {
   /// Minimum fraction of the ego BV footprint area that the claimed peer
   /// footprint must cover for alignment to be attemptable.
   double minOverlapFrac = 0.02;
-  /// Once a session has a locked track, gate on the tracker's OWN
-  /// dead-reckoned prediction (PoseTracker::predictNext) instead of the
-  /// sender's claim: the service's own state cannot be spoofed, so a lying
-  /// claim can no longer keep an in-range, already-locked peer held.
-  /// Claim-based gating still applies while a session bootstraps (there is
-  /// no own-state yet) — a bootstrapping far-claim peer stays cheap.
-  bool useTrackPrior = true;
 };
 
 /// Fraction of the ego BV footprint (a square of side 2*bvRangeM centered
@@ -47,7 +46,7 @@ struct PreGateConfig {
                                         double bvRangeM);
 
 /// The pre-gate decision: true when the claim passes both the range cap
-/// and the footprint-overlap floor (or the gate is disabled).
+/// and the footprint-overlap floor.
 [[nodiscard]] bool preGateAdmits(const Pose2& claimedOtherToEgo,
                                  double bvRangeM, const PreGateConfig& cfg);
 
@@ -56,25 +55,15 @@ struct PreGateConfig {
 /// budget are shed — they coast on the tracker ladder this frame and move
 /// to the front of the line next frame (see grantRecoverSlots).
 ///
-/// The frame deadline is honored through a static cost model
-/// (`assumedRecoverCostMs`), never a mid-frame wall clock: a wall clock
+/// The budget is a slot count, never a mid-frame wall clock: a wall clock
 /// would make the schedule depend on machine load and break the
-/// byte-identical-results contract. The benchmark (bench/fleet_scale.cpp)
-/// measures the realized latency the model stands in for.
+/// byte-identical-results contract. A frame deadline is spelled as
+/// deadline / per-recover cost slots; the benchmark
+/// (bench/fleet_scale.cpp) measures the realized latency.
 struct BudgetConfig {
-  /// Hard cap on recover() attempts per frame (0 = unlimited).
+  /// Hard cap on recover() attempts per frame (<= 0 = unlimited).
   int maxRecoversPerFrame = 0;
-  /// Frame deadline in milliseconds (0 = unlimited), converted to a slot
-  /// count via assumedRecoverCostMs. When both caps are set the stricter
-  /// one wins.
-  double frameDeadlineMs = 0.0;
-  /// Deterministic cost model: assumed cost of one admitted session
-  /// (decode + recover) used to convert frameDeadlineMs into slots.
-  double assumedRecoverCostMs = 200.0;
 };
-
-/// Effective recover slots per frame: min of the two caps, 0 = unlimited.
-[[nodiscard]] int effectiveRecoverBudget(const BudgetConfig& cfg);
 
 /// One admitted session competing for a recover slot this frame.
 struct SlotCandidate {

@@ -11,15 +11,13 @@
 
 namespace bba::service {
 
-namespace {
-
-/// Decorrelated per-session RNG stream: the same (seed, peerId) always
-/// yields the same stream, and distinct peers never share one (same
-/// mixing discipline as dataset/fault.cpp's frameRng).
 std::uint64_t sessionSeed(std::uint64_t serviceSeed, std::uint64_t peerId) {
+  // Same mixing discipline as dataset/fault.cpp's frameRng.
   return serviceSeed ^ (peerId * 0x9E3779B97F4A7C15ULL) ^
          0xC2B2AE3D27D4EB4FULL;
 }
+
+namespace {
 
 void appendStatsJson(std::string& out, const SessionStats& s) {
   char buf[512];
@@ -131,33 +129,22 @@ CarPerceptionData toCarData(const wire::CooperativeMessage& msg) {
   return CarPerceptionData{msg.bvImage, msg.boxes};
 }
 
-struct CooperationService::Session {
+struct CooperationService::Session : SessionRecord {
   Session(std::uint64_t id, const ServiceConfig& cfg)
-      : peerId(id), tracker(cfg.tracker), rng(sessionSeed(cfg.seed, id)),
-        health(cfg.health) {
+      : peerId(id), tracker(cfg.tracker), rng(sessionSeed(cfg.seed, id)) {
     stats.peerId = id;
+    health = PeerHealthFsm(cfg.health);
   }
 
   std::uint64_t peerId;
   PoseTracker tracker;
   Rng rng;
-  SessionStats stats;
-  PeerHealthFsm health;
   /// Frames since this session was last granted a recover slot (see
   /// admission.hpp: resets on grant, so the shed rotation cannot starve).
   int staleness = 0;
   /// Consecutive service frames the peer has been absent from the inputs
   /// (the reaper's clock; resets whenever the peer appears).
   int silentRun = 0;
-  /// Last fresh lock (Recovered / RecoveredRelaxed), kept for the
-  /// eviction score and the readmission warm start.
-  bool hadLock = false;
-  Pose2 lastLockedPose;
-  int lastLockFrame = 0;
-  // Replay guard state: metadata of the last accepted message.
-  bool haveLastMeta = false;
-  std::uint32_t lastFrameIndex = 0;
-  std::int64_t lastCaptureMicros = 0;
 };
 
 CooperationService::CooperationService(ServiceConfig config)
@@ -180,21 +167,14 @@ CooperationService::Session& CooperationService::createSession(
     // peer re-locks through the normal ladder instead of bootstrapping
     // blind. The RNG stream restarts from (seed, peerId) as on any fresh
     // session: readmission is deterministic by construction.
-    const RetiredSession& r = archived->second;
-    session->stats = r.stats;
+    static_cast<SessionRecord&>(*session) = archived->second;
     session->stats.retired = false;
     session->stats.readmissions += 1;
-    session->health = r.health;
-    session->hadLock = r.hadLock;
-    session->lastLockedPose = r.lastLockedPose;
-    session->lastLockFrame = r.lastLockFrame;
-    session->haveLastMeta = r.haveLastMeta;
-    session->lastFrameIndex = r.lastFrameIndex;
-    session->lastCaptureMicros = r.lastCaptureMicros;
-    if (cfg_.lifecycle.warmStartReadmissions && r.hadLock &&
-        frames_ - r.lastLockFrame <= cfg_.lifecycle.warmStartMaxGapFrames &&
-        r.health.shouldProcess()) {
-      session->tracker.acceptExternalPose(r.lastLockedPose);
+    if (session->hadLock &&
+        frames_ - session->lastLockFrame <=
+            cfg_.lifecycle.warmStartMaxGapFrames &&
+        session->health.shouldProcess()) {
+      session->tracker.acceptExternalPose(session->lastLockedPose);
       BBA_COUNTER_ADD("session.warm_started", 1);
     }
     retired_.erase(archived);
@@ -213,18 +193,8 @@ CooperationService::Session& CooperationService::createSession(
 void CooperationService::retireSession(std::uint64_t peerId) {
   auto it = sessions_.find(peerId);
   BBA_ASSERT_MSG(it != sessions_.end(), "retireSession: unknown peer");
-  Session& s = *it->second;
-  RetiredSession r;
-  r.stats = s.stats;
+  SessionRecord r = *it->second;  // the live-only state stays behind
   r.stats.retired = true;
-  r.health = s.health;
-  r.hadLock = s.hadLock;
-  r.lastLockedPose = s.lastLockedPose;
-  r.lastLockFrame = s.lastLockFrame;
-  r.retiredAtFrame = frames_;
-  r.haveLastMeta = s.haveLastMeta;
-  r.lastFrameIndex = s.lastFrameIndex;
-  r.lastCaptureMicros = s.lastCaptureMicros;
   BBA_HISTOGRAM_OBSERVE(
       "session.lifetime_frames",
       static_cast<double>(r.stats.frames + r.stats.silentFrames));
@@ -276,24 +246,21 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       continue;
     }
     if (static_cast<int>(sessions_.size()) >= cfg_.maxSessions) {
-      std::optional<std::uint64_t> victim;
-      if (cfg_.lifecycle.enableEviction) {
-        std::vector<EvictionCandidate> candidates;
-        candidates.reserve(sessions_.size());
-        for (const auto& [id, s] : sessions_) {
-          if (presentIds.count(id) != 0) continue;  // present: protected
-          EvictionCandidate c;
-          c.peerId = id;
-          c.health = s->health.state();
-          c.silentRunFrames = s->silentRun;
-          c.lockStaleFrames =
-              s->hadLock ? frames_ - s->lastLockFrame : frames_;
-          c.hasTrack = s->tracker.hasTrack();
-          c.lastConfidence = s->stats.lastConfidence;
-          candidates.push_back(c);
-        }
-        victim = pickEvictionVictim(candidates, cfg_.lifecycle);
+      std::vector<EvictionCandidate> candidates;
+      candidates.reserve(sessions_.size());
+      for (const auto& [id, s] : sessions_) {
+        if (presentIds.count(id) != 0) continue;  // present: protected
+        EvictionCandidate c;
+        c.peerId = id;
+        c.health = s->health.state();
+        c.silentRunFrames = s->silentRun;
+        c.lockStaleFrames = s->hadLock ? frames_ - s->lastLockFrame : frames_;
+        c.hasTrack = s->tracker.hasTrack();
+        c.lastConfidence = s->stats.lastConfidence;
+        candidates.push_back(c);
       }
+      const std::optional<std::uint64_t> victim =
+          pickEvictionVictim(candidates, cfg_.lifecycle);
       if (!victim) {
         res.admission = SessionAdmission::RejectedFull;
         rejectedFull_ += 1;
@@ -339,26 +306,24 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     if (cfg_.enableHealth && !bySlot[i]->health.shouldProcess())
       continue;  // quarantined: excluded entirely, not even peeked
     Admission& adm = admission[i];
-    if (cfg_.pregate.enable) {
-      const wire::MessagePeek pk = wire::peek(*in.payload);
-      if (pk.error == wire::DecodeError::None && pk.hasPosePrior) {
-        adm.hasPeekClaim = true;
-        adm.peekClaim = pk.posePrior;
-      }
-      // Once the session is locked, gate on OUR dead-reckoned prediction
-      // instead of the sender's word: a lying claim cannot keep an
-      // in-range, already-locked peer held. Claims still gate
-      // bootstrapping sessions (no own-state yet to predict from).
-      std::optional<Pose2> gatePose;
-      if (cfg_.pregate.useTrackPrior && bySlot[i]->tracker.hasTrack()) {
-        gatePose = bySlot[i]->tracker.predictNext();
-        adm.priorFromTrack = gatePose.has_value();
-      }
-      if (!gatePose && adm.hasPeekClaim) gatePose = adm.peekClaim;
-      if (gatePose && !preGateAdmits(*gatePose, bvRange, cfg_.pregate)) {
-        adm.pregateSkipped = true;
-        continue;
-      }
+    const wire::MessagePeek pk = wire::peek(*in.payload);
+    if (pk.error == wire::DecodeError::None && pk.hasPosePrior) {
+      adm.hasPeekClaim = true;
+      adm.peekClaim = pk.posePrior;
+    }
+    // Once the session is locked, gate on OUR dead-reckoned prediction
+    // instead of the sender's word: a lying claim cannot keep an in-range,
+    // already-locked peer held. Claims still gate bootstrapping sessions
+    // (no own-state yet to predict from).
+    std::optional<Pose2> gatePose;
+    if (bySlot[i]->tracker.hasTrack()) {
+      gatePose = bySlot[i]->tracker.predictNext();
+      adm.priorFromTrack = gatePose.has_value();
+    }
+    if (!gatePose && adm.hasPeekClaim) gatePose = adm.peekClaim;
+    if (gatePose && !preGateAdmits(*gatePose, bvRange, cfg_.pregate)) {
+      adm.pregateSkipped = true;
+      continue;
     }
     candidates.push_back({in.peerId, bySlot[i]->staleness, i});
   }
@@ -369,7 +334,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // any BBA_THREADS. Staleness resets on GRANT (not on lock): a session
   // that keeps failing still rotates through, and no session waits more
   // than ceil(sessions/budget) frames.
-  const int recoverBudget = effectiveRecoverBudget(cfg_.budget);
+  const int recoverBudget = cfg_.budget.maxRecoversPerFrame;
   std::vector<char> granted(inputs.size(), 0);
   if (recoverBudget > 0 &&
       candidates.size() > static_cast<std::size_t>(recoverBudget)) {
@@ -392,25 +357,24 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     }
   }
 
-  // Frame-scoped ego-feature sharing: each session "gets" this frame's
-  // ego features from the cache — the first get computes them
-  // (cache.ego_miss), every later get returns the same immutable set
-  // (cache.ego_hit). One ego feature pipeline per frame instead of one
-  // per peer; results are byte-identical either way because the cached
-  // features come from the identical deterministic pipeline.
+  // Frame-scoped ego-feature sharing: this frame's ego features are
+  // fetched from the cache once and handed read-only to every session —
+  // one ego feature pipeline per frame instead of one per peer. The fetch
+  // computes them (cache.ego_miss) unless recordEgoKeyframe() already did
+  // this frame (cache.ego_hit). Results are byte-identical to per-session
+  // computation because the cached features come from the identical
+  // deterministic pipeline.
   // Skipped when the ego payload is absent or mis-sized (callers whose
   // every input coasts may legitimately pass an empty ego).
   // Skipped entirely when no session was granted a slot: an all-skipped/
   // all-shed/all-coasting frame must cost no ego pipeline either.
   std::shared_ptr<const EgoFeatures> sharedEgo;
   const int egoExpected = cfg_.tracker.aligner.bev.imageSize();
-  if (cfg_.enableEgoFeatureCache && anyGranted &&
-      ego.bvImage.width() == egoExpected &&
+  if (anyGranted && ego.bvImage.width() == egoExpected &&
       ego.bvImage.height() == egoExpected) {
     BBA_SPAN("service.ego-features");
-    for (std::int64_t i = 0; i < n; ++i)
-      sharedEgo = egoCache_.features(static_cast<std::uint64_t>(frames_),
-                                     featureAligner_, ego);
+    sharedEgo = egoCache_.features(static_cast<std::uint64_t>(frames_),
+                                   featureAligner_, ego);
   }
 
   // Cross-session parallel, per-session serial: every input owns its

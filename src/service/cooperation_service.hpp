@@ -69,23 +69,15 @@ struct ServiceConfig {
   double consistencyMaxTranslation = 2.0;
   double consistencyMaxRotationDeg = 10.0;
 
-  /// Frame-scoped ego-feature sharing (core/ego_cache.hpp): the ego BV
-  /// image's MIM / keypoints / descriptors are computed ONCE per
-  /// processFrame() and handed read-only to every peer session, so the
-  /// per-frame cost is 1 x ego-features + peers x (other-features +
-  /// match + RANSAC) instead of peers x full recover(). Byte-identical on
-  /// or off (asserted by tests/service_test.cpp).
-  bool enableEgoFeatureCache = true;
-
   /// Fleet-scale admission (see service/admission.hpp). Stage 1, spatial
   /// pre-gate: a message whose claimed pose prior puts the peer's BV
   /// footprint out of pairing range is not even decoded — the session is
   /// held on a cheap "tracked-but-not-aligned" rung (TrackerOutcome::Held)
-  /// at zero recover() cost. Claim-less messages always pass. On by
-  /// default: in-range fleets see byte-identical results either way
+  /// at zero recover() cost. Claim-less messages from bootstrapping
+  /// sessions always pass, and an in-range fleet is never skipped
   /// (asserted by tests/admission_test.cpp).
   PreGateConfig pregate;
-  /// Stage 2, per-frame work budget: at most effectiveRecoverBudget()
+  /// Stage 2, per-frame work budget: at most budget.maxRecoversPerFrame
   /// admitted sessions get a decode+recover slot per frame; the rest are
   /// shed onto the same Held rung and move to the front of the line next
   /// frame (staleness-first, ties by session id — a deterministic,
@@ -135,8 +127,8 @@ struct SessionFrameResult {
   /// claim below is the peeked one.
   bool pregateSkipped = false;
   /// The pre-gate decision above was taken on the tracker's own
-  /// dead-reckoned prediction (PreGateConfig::useTrackPrior), not the
-  /// sender's claim.
+  /// dead-reckoned prediction (the session is locked), not the sender's
+  /// claim.
   bool pregatePriorFromTrack = false;
   /// The payload arrived and was admitted, but the frame's recover budget
   /// was exhausted before this session's turn: the session held its track
@@ -244,6 +236,11 @@ struct ServiceReport {
     const Pose2* posePrior = nullptr);
 [[nodiscard]] CarPerceptionData toCarData(const wire::CooperativeMessage& msg);
 
+/// Seed of the session RNG stream for `peerId`: the same (seed, peerId)
+/// always yields the same stream, and distinct peers never share one.
+[[nodiscard]] std::uint64_t sessionSeed(std::uint64_t serviceSeed,
+                                        std::uint64_t peerId);
+
 /// Multi-peer cooperation endpoint: owns one session (PoseTracker + RNG
 /// stream + stats) per peer vehicle and schedules per-frame work across
 /// the deterministic parallel runtime.
@@ -318,31 +315,35 @@ class CooperationService {
   /// `egoGlobalPose` (its odometry/GNSS pose in the map frame). Call
   /// immediately BEFORE processFrame() with the same ego payload: the
   /// ego features computed here land in the frame-scoped cache, so the
-  /// frame's sessions reuse them for free. No-op (returns a default
-  /// InsertResult) without an attached map or with a mis-sized ego
-  /// payload; the store dedups by spatial gap.
+  /// frame's sessions reuse them for free (processFrame's fetch counts a
+  /// cache.ego_hit). No-op (returns a default InsertResult) without an
+  /// attached map or with a mis-sized ego payload; the store dedups by
+  /// spatial gap.
   map::InsertResult recordEgoKeyframe(const CarPerceptionData& ego,
                                       const Pose2& egoGlobalPose);
 
  private:
-  struct Session;
-  /// Archived state of an evicted/reaped session, kept for readmission:
-  /// the cumulative stats, the trust FSM (a quarantined peer cannot
-  /// launder its record through an evict/return cycle) and the last lock
-  /// for the optional warm start.
-  struct RetiredSession {
+  /// The part of a session that outlives it: a live Session embeds it,
+  /// and the retirement archive keeps it when the session is evicted or
+  /// reaped, so readmission restores it in one assignment. It holds the
+  /// cumulative stats, the trust FSM (a quarantined peer cannot launder
+  /// its record through an evict/return cycle), the last lock (eviction
+  /// score, readmission warm start) and the replay-guard metadata (an
+  /// evict/return cycle must not reopen the session to replays of its own
+  /// old traffic).
+  struct SessionRecord {
     SessionStats stats;
     PeerHealthFsm health;
+    /// Last fresh lock (Recovered / RecoveredRelaxed).
     bool hadLock = false;
     Pose2 lastLockedPose;
     int lastLockFrame = 0;
-    int retiredAtFrame = 0;
-    // Replay-guard metadata survives retirement: an evict/return cycle
-    // must not reopen the session to replays of its own old traffic.
+    /// Replay guard state: metadata of the last accepted message.
     bool haveLastMeta = false;
     std::uint32_t lastFrameIndex = 0;
     std::int64_t lastCaptureMicros = 0;
   };
+  struct Session;
 
   /// Create (or restore from the retirement archive) the session for
   /// `peerId`. Precondition: no live session for the id and a free slot.
@@ -361,7 +362,7 @@ class CooperationService {
   int rejectedFull_ = 0;
   // Ordered maps: iteration order == session-id order == merge order.
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  std::map<std::uint64_t, RetiredSession> retired_;
+  std::map<std::uint64_t, SessionRecord> retired_;
 };
 
 }  // namespace bba::service

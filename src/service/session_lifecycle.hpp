@@ -42,9 +42,7 @@ inline constexpr int kSessionAdmissionCount = 5;
 /// whole lifecycle trajectory is a pure function of the input schedule, so
 /// schedules and reports stay byte-identical at any BBA_THREADS.
 struct LifecycleConfig {
-  /// Evict to admit a new peer when the table is full. Off, a full table
-  /// rejects every newcomer (RejectedFull) until the reaper frees a slot.
-  bool enableEviction = true;
+  /// A newcomer to a full table evicts the most evictable absent session.
   /// Only sessions scoring at or above this are evictable: a healthy,
   /// locked, just-seen session scores below it and is never displaced by
   /// a newcomer. Raise to favor incumbents, lower (to 0) to always churn.
@@ -81,7 +79,6 @@ struct LifecycleConfig {
   /// bootstrapping blind. (With a keyframe map attached to the consuming
   /// tracker, the relocalized rung provides the same service for the
   /// peer-less case; the archive is the service-side analogue.)
-  bool warmStartReadmissions = true;
   /// Max service frames between the archived lock and the readmission for
   /// the warm start to apply (beyond it the dead-reckoned pose is stale
   /// enough to mis-gate honest measurements).

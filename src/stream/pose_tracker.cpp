@@ -177,10 +177,9 @@ void recordTrackerMetrics(const TrackerReport& rep) {
 PoseTracker::PoseTracker(PoseTrackerConfig config)
     : cfg_(std::move(config)),
       primary_(cfg_.aligner),
-      relaxed_(cfg_.relaxedAligner ? *cfg_.relaxedAligner
-                                   : relaxedRecoveryConfig(cfg_.aligner)),
-      relaxedSharesFeatures_(
-          egoFeatureCompatible(primary_.config(), relaxed_.config())) {
+      relaxed_(relaxedRecoveryConfig(cfg_.aligner)) {
+  // update() hands the primary's ego features to the relaxed rung too.
+  BBA_ASSERT(egoFeatureCompatible(primary_.config(), relaxed_.config()));
   BBA_ASSERT(cfg_.historySize >= 1);
   BBA_ASSERT(cfg_.maxConsecutiveMisses >= 1);
   BBA_ASSERT(cfg_.confidenceDecay > 0.0 && cfg_.confidenceDecay <= 1.0);
@@ -262,8 +261,7 @@ TrackerResult PoseTracker::miss(int frame,
 }
 
 bool PoseTracker::mapRelocalizationReady() const {
-  return cfg_.enableMapRelocalization && mapStore_ != nullptr &&
-         egoPosePrior_.has_value();
+  return mapStore_ != nullptr && egoPosePrior_.has_value();
 }
 
 void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
@@ -443,7 +441,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // be geometrically inconsistent with the payload it came from (spoofed
   // boxes, impostor BV consensus). Such a lock is demoted to a miss.
   auto validated = [&](const PoseRecoveryResult& r) {
-    return !cfg_.enableValidationGate || !r.validation.computed ||
+    return !r.validation.computed ||
            r.validation.score >= cfg_.minValidationScore;
   };
 
@@ -456,16 +454,12 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
 
   // Ego-side features: computed once here (or supplied by the caller —
   // e.g. CooperationService's per-frame cache shared across peers) and fed
-  // to every rung instead of each recover() recomputing them. The relaxed
-  // aligner joins only when its config runs the identical feature
-  // pipeline.
+  // to every rung instead of each recover() recomputing them.
   std::shared_ptr<const EgoFeatures> ownedFeatures;
-  if (egoFeatures == nullptr && cfg_.shareEgoFeatures) {
+  if (egoFeatures == nullptr) {
     ownedFeatures = primary_.computeEgoFeatures(ego);
     egoFeatures = ownedFeatures.get();
   }
-  const EgoFeatures* relaxedFeatures =
-      relaxedSharesFeatures_ ? egoFeatures : nullptr;
 
   // Rung 0a: tracker-seeded fast path — only on a steady track (confident
   // velocity-capable prediction, no misses in flight); a bootstrapping or
@@ -527,11 +521,11 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // Rung 1: relaxed retry, seeded from the prediction. Only meaningful
   // when a prediction exists — without one the gate cannot protect the
   // lowered thresholds.
-  if (prediction && cfg_.enableRelaxedRetry) {
+  if (prediction) {
     BBA_SPAN("tracker-relaxed-retry");
     rep.relaxedAttempted = true;
     const PoseRecoveryResult retried = relaxed_.recover(
-        other, ego, rng, &rep.relaxedRecovery, hintsPtr, relaxedFeatures);
+        other, ego, rng, &rep.relaxedRecovery, hintsPtr, egoFeatures);
     if (retried.success && withinGate(retried.estimate) &&
         !validated(retried)) {
       rep.validationRejected = true;

@@ -48,13 +48,9 @@ inline constexpr int kTrackerOutcomeCount = 7;
 /// urban speeds move well under a meter per frame relative to each other,
 /// while a wrong BB-Align lock is typically off by several meters).
 struct PoseTrackerConfig {
-  /// The primary (rung-0) aligner configuration.
+  /// The primary (rung-0) aligner configuration; the rung-1 relaxed
+  /// aligner is derived from it via relaxedRecoveryConfig().
   BBAlignConfig aligner;
-  /// Override for the rung-1 relaxed aligner; when unset it is derived
-  /// from `aligner` via relaxedRecoveryConfig().
-  std::optional<BBAlignConfig> relaxedAligner;
-  /// Run the rung-1 relaxed retry at all (it costs a second recover()).
-  bool enableRelaxedRetry = true;
 
   /// Accepted poses kept for prediction (>= 2 enables velocity).
   int historySize = 4;
@@ -76,7 +72,6 @@ struct PoseTrackerConfig {
   /// >= ~0.72, coherent box lies <= ~0.61 (see tests/stream_test.cpp) —
   /// 0.5 rejects most attacks with headroom for degraded-but-honest
   /// payloads; sensitivity-critical deployments raise it toward 0.65.
-  bool enableValidationGate = true;
   double minValidationScore = 0.5;
 
   /// Confidence of a rung-1 (relaxed) acceptance; rung 0 reports 1.0.
@@ -91,15 +86,6 @@ struct PoseTrackerConfig {
   /// re-bootstraps from scratch.
   int maxConsecutiveMisses = 4;
 
-  /// Compute the ego-side features (MIM, keypoints, descriptors) once per
-  /// update() and hand them to every recover() rung instead of letting
-  /// each rung recompute them. The relaxed aligner joins the sharing only
-  /// when egoFeatureCompatible() holds for its config (it does for
-  /// relaxedRecoveryConfig(), which touches matching/RANSAC parameters
-  /// only). Byte-identical on or off — the shared features come from the
-  /// same deterministic pipeline.
-  bool shareEgoFeatures = true;
-
   /// Tracker-seeded fast path (rung 0a): with a steady track (confident
   /// prediction, zero consecutive misses, velocity-capable history), try a
   /// narrowed recover() first — yaw search collapsed to the prediction,
@@ -112,11 +98,10 @@ struct PoseTrackerConfig {
   /// Fast path only: other-image keypoint budget (see RecoveryHints).
   int fastPathMaxKeypoints = 300;
 
-  /// Map relocalization (the rung below track-lost). Engages only when a
+  /// Map relocalization (the rung below track-lost) engages only when a
   /// KeyframeStore is attached via attachMapStore() AND an ego pose prior
   /// has been fed via setEgoPosePrior() — a tracker without a map runs
   /// byte-identical to before this rung existed.
-  bool enableMapRelocalization = true;
   /// Max keyframe candidates fed to recover() per relocalization attempt
   /// (each costs a full recover() call; the best-scoring candidate goes
   /// first, so attempt 2+ only runs when attempt 1 fails or is rejected).
@@ -124,9 +109,9 @@ struct PoseTrackerConfig {
   /// Confidence of a Relocalized pose. Below relaxedConfidence: the map
   /// may be stale and the ego prior coarse, and unlike rungs 0/1 there is
   /// no motion-prediction gate backing the acceptance — only the gt-free
-  /// validation gate (which relocalization applies UNCONDITIONALLY, even
-  /// with enableValidationGate off: with no trusted prior to lean on, an
-  /// unvalidated map lock is never reported).
+  /// validation gate (which relocalization applies strictly: with no
+  /// trusted prior to lean on, a lock without a computed validation score
+  /// is never reported).
   double relocalizedConfidence = 0.6;
   /// Odometry-consistency envelope: an accepted relocalization's ego
   /// global pose must land within this many meters of the fed pose prior.
@@ -241,11 +226,13 @@ class PoseTracker {
   /// Process one received frame payload. `rng` drives the RANSAC sampling
   /// of the underlying recover() call(s).
   ///
-  /// `egoFeatures` (optional) supplies the ego-side features precomputed
-  /// elsewhere (e.g. CooperationService's per-frame EgoFeatureCache shared
-  /// across peer sessions); they must be compatible with the primary
-  /// aligner's config (egoFeatureCompatible). When null and
-  /// cfg.shareEgoFeatures, the tracker computes them once itself.
+  /// The ego-side features (MIM, keypoints, descriptors) are computed once
+  /// per update() and handed to every recover() rung — the relaxed
+  /// aligner's config differs only in matching/RANSAC parameters, so it
+  /// runs the identical feature pipeline. `egoFeatures` (optional)
+  /// supplies them precomputed elsewhere (e.g. CooperationService's
+  /// per-frame EgoFeatureCache shared across peer sessions); they must be
+  /// compatible with the primary aligner's config (egoFeatureCompatible).
   TrackerResult update(const CarPerceptionData& other,
                        const CarPerceptionData& ego, Rng& rng,
                        TrackerReport* report = nullptr,
@@ -356,7 +343,6 @@ class PoseTracker {
   PoseTrackerConfig cfg_;
   BBAlign primary_;
   BBAlign relaxed_;
-  bool relaxedSharesFeatures_ = false;  ///< egoFeatureCompatible(primary, relaxed)
   std::deque<Accepted> history_;
   int frame_ = 0;    ///< frames processed so far (next frame index)
   int misses_ = 0;   ///< consecutive misses

@@ -302,24 +302,6 @@ TEST(SessionLifecycle, EvictionPrefersWorstAbsentSessionAndArchivesIt) {
   EXPECT_EQ(rep.sessions[3].evictions, 1);
 }
 
-TEST(SessionLifecycle, EvictionDisabledRejectsInsteadOfDisplacing) {
-  ServiceConfig cfg;
-  cfg.maxSessions = 1;
-  cfg.lifecycle.enableEviction = false;
-  cfg.lifecycle.maxSilentFrames = 1;
-  CooperationService svc(cfg);
-  const CarPerceptionData ego;
-  (void)svc.processFrame(ego, {{1, nullptr}});
-  auto res = svc.processFrame(ego, {{5, nullptr}});
-  EXPECT_EQ(res[0].admission, SessionAdmission::RejectedFull);
-  // ...until the reaper frees the slot (1's silent run reaches 2 > 1 at
-  // the end of the next frame), after which the newcomer admits normally.
-  (void)svc.processFrame(ego, {{5, nullptr}});
-  auto after = svc.processFrame(ego, {{5, nullptr}});
-  EXPECT_EQ(after[0].admission, SessionAdmission::Admitted);
-  EXPECT_EQ(svc.report().rejectedFull, 2);
-}
-
 // ---- property test: random schedules conserve stats, thread-invariant ----
 
 struct ChurnRun {
@@ -583,53 +565,41 @@ TEST(LifecycleScenario, EvictedHonestPeerRelocksWithinMissBudgetPlusTwo) {
 }
 
 TEST(LifecycleScenario, LyingClaimCannotHoldALockedInRangePeer) {
-  // Satellite: once a session is locked the pre-gate runs on the
-  // tracker's own dead-reckoned pose, so a spoofed out-of-range claim on
-  // an in-range peer no longer withholds its (honest) payload. A
-  // bootstrapping far-claim session keeps claim gating either way.
+  // Once a session is locked the pre-gate runs on the tracker's own
+  // dead-reckoned pose, so a spoofed out-of-range claim on an in-range
+  // peer cannot withhold its (honest) payload. A bootstrapping far-claim
+  // session stays claim-gated.
   const ScenarioRig rig(3);
   const Pose2 lie{{2000.0, -500.0}, 1.0};
 
-  auto run = [&](bool trackPrior) {
-    ServiceConfig cfg = rig.cfg;
-    cfg.usePosePriors = false;  // the lie must not seed any track
-    cfg.pregate.useTrackPrior = trackPrior;
-    CooperationService svc(cfg);
-    const BBAlign aligner(cfg.tracker.aligner);
-    std::vector<std::vector<SessionFrameResult>> out;
-    for (std::size_t k = 0; k < rig.frames.size(); ++k) {
-      const StreamFrame& f = rig.frames[k];
-      const CarPerceptionData ego =
-          aligner.makeCarData(f.egoCloud, f.egoDets);
-      const CarPerceptionData other =
-          aligner.makeCarData(f.otherCloud, f.otherDets);
-      // Frame 0 honest claim-less bootstrap; frames 1+ attach the lie.
-      const std::vector<std::uint8_t> payload = svc.sendFrame(
-          other, 1, static_cast<std::uint32_t>(k), nullptr,
-          k == 0 ? nullptr : &lie);
-      const std::vector<std::uint8_t> phantom = svc.sendFrame(
-          other, 50, static_cast<std::uint32_t>(k), nullptr, &lie);
-      out.push_back(svc.processFrame(ego, {{1, &payload}, {50, &phantom}}));
-    }
-    return out;
-  };
+  ServiceConfig cfg = rig.cfg;
+  cfg.usePosePriors = false;  // the lie must not seed any track
+  CooperationService svc(cfg);
+  const BBAlign aligner(cfg.tracker.aligner);
+  std::vector<std::vector<SessionFrameResult>> out;
+  for (std::size_t k = 0; k < rig.frames.size(); ++k) {
+    const StreamFrame& f = rig.frames[k];
+    const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
+    const CarPerceptionData other =
+        aligner.makeCarData(f.otherCloud, f.otherDets);
+    // Frame 0 honest claim-less bootstrap; frames 1+ attach the lie.
+    const std::vector<std::uint8_t> payload = svc.sendFrame(
+        other, 1, static_cast<std::uint32_t>(k), nullptr,
+        k == 0 ? nullptr : &lie);
+    const std::vector<std::uint8_t> phantom = svc.sendFrame(
+        other, 50, static_cast<std::uint32_t>(k), nullptr, &lie);
+    out.push_back(svc.processFrame(ego, {{1, &payload}, {50, &phantom}}));
+  }
 
-  const auto gated = run(true);
-  const auto legacy = run(false);
-  // Frame 0: both lock the honest peer (no claim, no gate).
-  ASSERT_EQ(gated[0][0].track.outcome, TrackerOutcome::Recovered);
-  ASSERT_EQ(legacy[0][0].track.outcome, TrackerOutcome::Recovered);
-  for (std::size_t k = 1; k < gated.size(); ++k) {
-    // With the track prior the locked peer stays admitted and recovering
-    // despite the lie; the legacy claim gate holds it hostage.
-    EXPECT_EQ(gated[k][0].track.outcome, TrackerOutcome::Recovered) << k;
-    EXPECT_TRUE(gated[k][0].pregatePriorFromTrack) << k;
-    EXPECT_FALSE(gated[k][0].pregateSkipped) << k;
-    EXPECT_TRUE(legacy[k][0].pregateSkipped) << k;
-    EXPECT_EQ(legacy[k][0].track.outcome, TrackerOutcome::Held) << k;
-    // The bootstrapping phantom is claim-gated in BOTH modes.
-    EXPECT_TRUE(gated[k][1].pregateSkipped) << k;
-    EXPECT_TRUE(legacy[k][1].pregateSkipped) << k;
+  // Frame 0: the honest peer locks (no claim, no gate).
+  ASSERT_EQ(out[0][0].track.outcome, TrackerOutcome::Recovered);
+  for (std::size_t k = 1; k < out.size(); ++k) {
+    // The locked peer stays admitted and recovering despite the lie.
+    EXPECT_EQ(out[k][0].track.outcome, TrackerOutcome::Recovered) << k;
+    EXPECT_TRUE(out[k][0].pregatePriorFromTrack) << k;
+    EXPECT_FALSE(out[k][0].pregateSkipped) << k;
+    // The bootstrapping phantom is claim-gated.
+    EXPECT_TRUE(out[k][1].pregateSkipped) << k;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "dataset/fault.hpp"
 #include "dataset/sequence.hpp"
+#include "obs/metrics.hpp"
 #include "service/cooperation_service.hpp"
 #include "wire/message.hpp"
 
@@ -170,21 +171,25 @@ const std::vector<StreamFrame>& scenarioFrames() {
 }
 
 struct ServiceRun {
+  ServiceConfig cfg;
   ServiceReport report;
   std::string reportJson;
   std::vector<std::vector<SessionFrameResult>> frames;
+  /// Per frame: the ego payload and the decoded payload every peer that
+  /// reached update() was aligned against.
+  std::vector<CarPerceptionData> egos;
+  std::vector<CarPerceptionData> others;
 };
 
 /// The pinned 3-session scenario: peer 1 receives clean traffic, peer 2's
 /// payloads are corrupted by the payload fault channel every frame, peer 3
 /// suffers link drops on frames 1 and 2.
-ServiceRun runService(int threads, bool egoCache = true) {
+ServiceRun runService(int threads) {
   ThreadLimit limit(threads);
   const std::vector<StreamFrame>& frames = scenarioFrames();
 
   ServiceConfig cfg;
   cfg.seed = 42;
-  cfg.enableEgoFeatureCache = egoCache;
   CooperationService svc(cfg);
   const BBAlign aligner(cfg.tracker.aligner);
 
@@ -194,6 +199,7 @@ ServiceRun runService(int threads, bool egoCache = true) {
   const FaultInjector corruptor(fc);
 
   ServiceRun run;
+  run.cfg = cfg;
   for (std::size_t k = 0; k < frames.size(); ++k) {
     const StreamFrame& f = frames[k];
     const CarPerceptionData ego =
@@ -210,6 +216,8 @@ ServiceRun runService(int threads, bool egoCache = true) {
     inputs.push_back({2, &corrupted});
     inputs.push_back({3, k >= 1 ? nullptr : &clean});
     run.frames.push_back(svc.processFrame(ego, inputs));
+    run.egos.push_back(ego);
+    run.others.push_back(toCarData(wire::decode(clean).message));
   }
   run.report = svc.report();
   run.reportJson = run.report.toJson();
@@ -295,52 +303,84 @@ void expectRunsByteIdentical(const ServiceRun& a, const ServiceRun& b) {
   }
 }
 
-TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt1Thread) {
-  expectRunsByteIdentical(runAt1Thread(),
-                          runService(1, /*egoCache=*/false));
-}
-
-TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt8Threads) {
-  expectRunsByteIdentical(runAt8Threads(),
-                          runService(8, /*egoCache=*/false));
-}
-
-TEST(ServicePipeline, ByteIdenticalReportsAt1And8Threads) {
-  const ServiceRun& one = runAt1Thread();
-  const ServiceRun& eight = runAt8Threads();
-  EXPECT_EQ(one.reportJson, eight.reportJson);
-  ASSERT_EQ(one.frames.size(), eight.frames.size());
-  for (std::size_t k = 0; k < one.frames.size(); ++k) {
-    ASSERT_EQ(one.frames[k].size(), eight.frames[k].size());
-    for (std::size_t s = 0; s < one.frames[k].size(); ++s) {
-      const SessionFrameResult& a = one.frames[k][s];
-      const SessionFrameResult& b = eight.frames[k][s];
-      EXPECT_EQ(a.peerId, b.peerId);
-      EXPECT_EQ(a.decodeError, b.decodeError);
-      EXPECT_EQ(a.track.poseValid, b.track.poseValid);
-      EXPECT_EQ(a.track.outcome, b.track.outcome);
-      // Byte-identical poses: EXPECT_EQ on doubles, not EXPECT_NEAR.
-      EXPECT_EQ(a.track.pose.t.x, b.track.pose.t.x);
-      EXPECT_EQ(a.track.pose.t.y, b.track.pose.t.y);
-      EXPECT_EQ(a.track.pose.theta, b.track.pose.theta);
-      EXPECT_EQ(a.track.confidence, b.track.confidence);
-      // The per-frame report is byte-identical once the wall-clock stage
-      // timings (the one legitimately nondeterministic block) are left
-      // out of the export.
-      EXPECT_EQ(a.report.toJson(/*includeTimings=*/false),
-                b.report.toJson(/*includeTimings=*/false));
+/// Replay every session of `run` through a standalone PoseTracker on the
+/// session's RNG stream, taking the same ladder step the service took, and
+/// expect the service's per-frame results byte for byte. The standalone
+/// tracker computes its ego features itself, so a match shows that the
+/// service's frame-scoped ego-feature cache is byte-transparent.
+void expectMatchesInlineEgoFeatures(const ServiceRun& run) {
+  ASSERT_FALSE(run.frames.empty());
+  for (std::size_t s = 0; s < run.frames.front().size(); ++s) {
+    const std::uint64_t peerId = run.frames.front()[s].peerId;
+    PoseTracker tracker(run.cfg.tracker);
+    Rng rng(sessionSeed(run.cfg.seed, peerId));
+    for (std::size_t k = 0; k < run.frames.size(); ++k) {
+      const SessionFrameResult& res = run.frames[k][s];
+      if (res.quarantined) continue;  // the service stepped no tracker
+      TrackerReport rep;
+      const TrackerResult track =
+          res.report.schedulerSkipped ? tracker.skipFrame(&rep)
+          : !res.report.remoteReceived
+              ? tracker.coast(&rep)
+              : tracker.update(run.others[k], run.egos[k], rng, &rep);
+      EXPECT_EQ(track.poseValid, res.track.poseValid);
+      EXPECT_EQ(track.pose.t.x, res.track.pose.t.x);
+      EXPECT_EQ(track.pose.t.y, res.track.pose.t.y);
+      EXPECT_EQ(track.pose.theta, res.track.pose.theta);
+      EXPECT_EQ(track.confidence, res.track.confidence);
+      EXPECT_EQ(rep.toJson(/*includeTimings=*/false),
+                res.report.toJson(/*includeTimings=*/false))
+          << "peer " << peerId << " frame " << k;
     }
   }
 }
 
-// ---- PR 5 adversarial 3-peer scenario, cache on vs off --------------------
+TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt1Thread) {
+  expectMatchesInlineEgoFeatures(runAt1Thread());
+}
+
+TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt8Threads) {
+  expectMatchesInlineEgoFeatures(runAt8Threads());
+}
+
+TEST(ServicePipeline, ByteIdenticalReportsAt1And8Threads) {
+  expectRunsByteIdentical(runAt1Thread(), runAt8Threads());
+}
+
+TEST(ServiceEgoCache, OneFetchPerFrameWhateverTheInputCount) {
+  // One granted input (decoded, then coasted on the mis-sized BV), one
+  // link drop and one duplicate: the frame's ego features are fetched
+  // once, not once per input.
+  CooperationService svc;
+  const int size = svc.config().tracker.aligner.bev.imageSize();
+  const CarPerceptionData ego{ImageF(size, size), {}};
+  const std::vector<std::uint8_t> payload = tinyPayload(1, 0);
+
+  obs::MetricsRegistry reg;
+  obs::installMetricsRegistry(&reg);
+  const std::vector<SessionFrameResult> results = svc.processFrame(
+      ego, {{1, &payload}, {2, nullptr}, {1, &payload}});
+  obs::installMetricsRegistry(nullptr);
+
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].received);
+  EXPECT_FALSE(results[1].received);
+  EXPECT_EQ(results[2].admission, SessionAdmission::RejectedDuplicate);
+#if defined(BBA_OBSERVABILITY_ENABLED)
+  EXPECT_EQ(reg.counter("cache.ego_hit").value() +
+                reg.counter("cache.ego_miss").value(),
+            1);
+#endif
+}
+
+// ---- adversarial 3-peer scenario vs inline ego features ------------------
 
 /// The health_test 3-peer spoofer scenario (peer 2's pose-prior claim lies
 /// by the adversarial channel, geometry honest, consistency vote catches
 /// it) rerun here to pin that the ego-feature cache is byte-transparent
 /// under quarantines, claims and the consistency vote — not just on clean
 /// traffic.
-ServiceRun runAdversarialService(int threads, bool egoCache) {
+ServiceRun runAdversarialService(int threads) {
   ThreadLimit limit(threads);
 
   static const std::vector<StreamFrame> frames = [] {
@@ -354,7 +394,6 @@ ServiceRun runAdversarialService(int threads, bool egoCache) {
   ServiceConfig cfg;
   cfg.seed = 42;
   cfg.usePosePriors = false;
-  cfg.enableEgoFeatureCache = egoCache;
   // Reduced RANSAC draws: still recovers every frame of this scenario,
   // keeps the 3-peer sweep affordable (same trick as health_test.cpp).
   cfg.tracker.aligner.ransacBv.iterations = 2000;
@@ -368,6 +407,7 @@ ServiceRun runAdversarialService(int threads, bool egoCache) {
   const FaultInjector adv(fc);
 
   ServiceRun run;
+  run.cfg = cfg;
   for (std::size_t k = 0; k < frames.size(); ++k) {
     const StreamFrame& f = frames[k];
     const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
@@ -388,6 +428,9 @@ ServiceRun runAdversarialService(int threads, bool egoCache) {
     inputs.push_back({2, &spoofed});
     inputs.push_back({3, &honest});
     run.frames.push_back(svc.processFrame(ego, inputs));
+    run.egos.push_back(ego);
+    // The lie rides in the claim only: every peer decodes the same data.
+    run.others.push_back(toCarData(wire::decode(honest).message));
   }
   run.report = svc.report();
   run.reportJson = run.report.toJson();
@@ -395,16 +438,14 @@ ServiceRun runAdversarialService(int threads, bool egoCache) {
 }
 
 TEST(ServiceAdversarial, EgoFeatureCacheIsByteTransparentAt1Thread) {
-  const ServiceRun cacheOn = runAdversarialService(1, /*egoCache=*/true);
-  const ServiceRun cacheOff = runAdversarialService(1, /*egoCache=*/false);
+  const ServiceRun run = runAdversarialService(1);
   // Sanity: the scenario actually exercises the vote.
-  EXPECT_TRUE(cacheOn.frames[0][1].consistencyOutlier);
-  expectRunsByteIdentical(cacheOn, cacheOff);
+  EXPECT_TRUE(run.frames[0][1].consistencyOutlier);
+  expectMatchesInlineEgoFeatures(run);
 }
 
 TEST(ServiceAdversarial, EgoFeatureCacheIsByteTransparentAt8Threads) {
-  expectRunsByteIdentical(runAdversarialService(8, /*egoCache=*/true),
-                          runAdversarialService(8, /*egoCache=*/false));
+  expectMatchesInlineEgoFeatures(runAdversarialService(8));
 }
 
 }  // namespace

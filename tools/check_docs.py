@@ -18,6 +18,12 @@
 3. Generated-block gate: the scenario-matrix block of EXPERIMENTS.md must
    byte-match a render of bench/scenario_baseline.json
    (tools/gen_experiments.py --check).
+4. Config-reference gate (the reverse direction of 2): every backticked
+   ``XxxConfig::field`` in the checked documents must name a field still
+   declared in ``struct XxxConfig`` under src/ — a deleted or renamed knob
+   may not live on in the docs. A doctored copy of the first reference
+   (field name suffixed) must fail the same check, or the gate itself is
+   reported broken.
 
 Exit code 0 when healthy; prints every violation otherwise.
 """
@@ -37,6 +43,11 @@ DOCS = [
 ]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+CONFIG_REF_RE = re.compile(r"`(\w+Config)::(\w+)")
+CONFIG_STRUCT_RE = re.compile(r"\bstruct\s+(\w+Config)\s*\{")
+# A member declaration at the struct's top level: a type token, the name,
+# then an initializer, array bound or terminator.
+FIELD_DECL_RE = re.compile(r"[\w>\]*&]\s+(\w+)\s*(?:=|;|\{|\[)")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 
 
@@ -249,6 +260,64 @@ def lidar_profile_names() -> list:
     return names
 
 
+def config_struct_fields() -> dict:
+    """{struct name: top-level field names} for every ``struct XxxConfig``
+    under src/. Nested struct and method bodies are skipped, so only the
+    struct's own members count."""
+    fields = {}
+    for header in sorted((REPO / "src").rglob("*.hpp")):
+        text = re.sub(r"//[^\n]*", "", header.read_text(encoding="utf-8"))
+        for m in CONFIG_STRUCT_RE.finditer(text):
+            depth, top = 1, []
+            for ch in text[m.end():]:
+                if ch == "{":
+                    depth += 1
+                elif ch == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                if depth == 1 or (depth == 2 and ch == "{"):
+                    top.append(ch)
+            top_text = re.sub(r"\b(?:struct|class|enum)\s+\w+", "",
+                              "".join(top))
+            fields.setdefault(m.group(1), set()).update(
+                FIELD_DECL_RE.findall(top_text))
+    return fields
+
+
+def config_ref_errors(label: str, text: str, fields: dict) -> list:
+    """One error per ``XxxConfig::field`` reference in `text` whose field
+    is not declared in that struct."""
+    errors = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for struct, field in CONFIG_REF_RE.findall(line):
+            if field not in fields.get(struct, set()):
+                errors.append(f"{label}:{lineno}: `{struct}::{field}` names "
+                              f"no field declared in struct {struct} "
+                              f"under src/")
+    return errors
+
+
+def check_config_refs(errors: list) -> int:
+    """Reverse gate plus its doctored-reference self-check; returns the
+    number of references checked."""
+    fields = config_struct_fields()
+    refs = []
+    for doc in DOCS:
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        refs += CONFIG_REF_RE.findall(text)
+        errors += config_ref_errors(str(doc.relative_to(REPO)), text, fields)
+    if refs:
+        struct, field = refs[0]
+        doctored = f"`{struct}::{field}Doctored`"
+        if len(config_ref_errors("<self-check>", doctored, fields)) != 1:
+            errors.append(f"config-reference gate is broken: the doctored "
+                          f"reference {doctored} was not rejected")
+    return len(refs)
+
+
 def check_generated_experiments(errors: list) -> None:
     """The EXPERIMENTS.md scenario-matrix block must match the baseline."""
     result = subprocess.run(
@@ -328,6 +397,7 @@ def main() -> int:
             errors.append(
                 f"lidar profile '{name}' is undocumented "
                 f"(not found in any checked document)")
+    config_refs = check_config_refs(errors)
     check_generated_experiments(errors)
 
     if errors:
@@ -347,7 +417,7 @@ def main() -> int:
           f"{len(tracker_outcome_strings())} tracker rungs, "
           f"{len(world_preset_names())} world presets, "
           f"{len(lidar_profile_names())} lidar profiles, "
-          f"{metric_count} metrics)")
+          f"{metric_count} metrics, {config_refs} config references)")
     return 0
 
 
